@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover bench-smoke bench-json bench benchtrend
+.PHONY: all build test check perfbench-check server-test serve-smoke trace-smoke plan-smoke replica-smoke snapshot-smoke backend-smoke load-smoke fuzz-smoke cover bench-smoke bench-json bench benchtrend
 
 all: build
 
@@ -20,6 +20,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build -o /dev/null ./cmd/rcserved
 	$(GO) test -race ./...
+	$(MAKE) perfbench-check
 	$(MAKE) server-test
 	$(MAKE) fuzz-smoke
 	$(MAKE) cover
@@ -31,6 +32,12 @@ check:
 	$(MAKE) snapshot-smoke
 	$(MAKE) backend-smoke
 	$(MAKE) load-smoke
+
+# perfbench-check vets and self-tests the benchmark. perfbench is a
+# separate module, so `go test ./...` above never builds it: a change to
+# an API it calls would otherwise only break at benchmark time.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # backend-smoke verifies the same snapshot under both model backends
 # through the real CLI and requires identical policy verdicts and FIB

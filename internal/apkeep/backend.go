@@ -33,6 +33,32 @@ func (m *Model) MatchOverlaps(match dataplane.Match, ec bdd.Node) bool {
 	return m.H.Overlaps(m.Pred(match), ec)
 }
 
+// ECsOverlapping implements policy.Model: the live ECs whose packet
+// space intersects match, ascending. The destination index narrows the
+// candidates to the ECs registered on the intervals match.Dst touches
+// (a read-only query: no boundary is added), and one Overlaps test
+// against the cached predicate discards the index's false positives.
+func (m *Model) ECsOverlapping(match dataplane.Match) []bdd.Node {
+	var out []bdd.Node
+	if match == dataplane.MatchAll {
+		out = make([]bdd.Node, 0, len(m.ecs))
+		for ec := range m.ecs {
+			out = append(out, ec)
+		}
+	} else {
+		pred := m.Pred(match)
+		cands := m.idx.candidates(prefixRange(match.Dst))
+		out = cands[:0]
+		for _, ec := range cands {
+			if _, live := m.ecs[ec]; live && m.H.Overlaps(pred, ec) {
+				out = append(out, ec)
+			}
+		}
+	}
+	sortNodes(out)
+	return out
+}
+
 // MatchOverlapsIn implements policy.ScopedModel: match ∧ space ∧ ec ≠ ∅.
 func (m *Model) MatchOverlapsIn(match dataplane.Match, space bdd.Node, ec bdd.Node) bool {
 	return m.H.Overlaps(m.H.And(m.Pred(match), space), ec)

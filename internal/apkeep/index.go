@@ -122,8 +122,10 @@ func (x *ecIndex) prepare(r dstRange) {
 	}
 }
 
-// candidates returns the distinct ECs registered on intervals inside r.
-// prepare(r) must have been called.
+// candidates returns the distinct ECs registered on the intervals that
+// meet r. After prepare(r) those intervals lie inside r; without it the
+// two end intervals may stretch past r, so the set still holds every EC
+// with a destination in r, plus possibly some without.
 func (x *ecIndex) candidates(r dstRange) []bdd.Node {
 	var out []bdd.Node
 	seen := make(map[bdd.Node]struct{})

@@ -353,6 +353,17 @@ func (m *Model) MatchOverlaps(match dataplane.Match, ec bdd.Node) bool {
 	return prefixSpan(match.Dst).overlaps(m.atomSpan(m.intervalAt(start)))
 }
 
+// ECsOverlapping implements policy.Model: a binary search finds the
+// atom holding the start of match's destination span, and the atoms up
+// to its end follow in address order. Atoms span every non-destination
+// dimension, so the answer is exact. It reads the live boundary array,
+// so it stays exact across splits that keep the lower half's ID.
+func (m *Model) ECsOverlapping(match dataplane.Match) []bdd.Node {
+	d := prefixSpan(match.Dst)
+	end := sort.Search(len(m.bounds), func(i int) bool { return m.bounds[i] > d.Hi })
+	return append([]bdd.Node(nil), m.ids[m.intervalAt(d.Lo):end]...)
+}
+
 // Witness implements policy.Model.
 func (m *Model) Witness(ec bdd.Node) (bdd.Packet, bool) {
 	start, ok := m.byID[ec]

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
+	"realconfig/internal/bdd"
 	"realconfig/internal/dataplane"
 	"realconfig/internal/netcfg"
 	"realconfig/internal/policy"
@@ -72,6 +74,16 @@ func backendChangePool(net *topology.Net) []changePair {
 			undo: netcfg.RemoveStaticRoute{Device: dev, Route: r},
 		})
 	}
+	// A drop route for the upper half of the next device's host /24
+	// splits a routed atom: the lower half keeps the atom's ID.
+	for i, dev := range net.NodeNames {
+		hp := net.HostPrefix[net.NodeNames[(i+1)%len(net.NodeNames)]]
+		r := netcfg.StaticRoute{Prefix: halves(hp)[1], Drop: true}
+		pool = append(pool, changePair{
+			do:   netcfg.AddStaticRoute{Device: dev, Route: r},
+			undo: netcfg.RemoveStaticRoute{Device: dev, Route: r},
+		})
+	}
 	for i, dev := range net.NodeNames {
 		if len(net.Devices[dev].Interfaces) == 0 {
 			continue
@@ -88,6 +100,55 @@ func backendChangePool(net *topology.Net) []changePair {
 		})
 	}
 	return pool
+}
+
+// halves splits a prefix into its lower and upper half.
+func halves(p netcfg.Prefix) [2]netcfg.Prefix {
+	lo := netcfg.Prefix{Addr: p.Addr, Len: p.Len + 1}
+	return [2]netcfg.Prefix{lo, {Addr: p.Addr | (lo.Mask() ^ p.Mask()), Len: p.Len + 1}}
+}
+
+// overlapHeaders are the header spaces ECsOverlapping is checked on:
+// the full space, every host /24 and both of its /25 halves, the static
+// drop routes' space, and on bdd matches constrained on source,
+// protocol and port.
+func overlapHeaders(net *topology.Net, backend string) []dataplane.Match {
+	hdrs := []dataplane.Match{dataplane.MatchAll, {Dst: netcfg.MustPrefix("10.9.0.0/16")}}
+	for _, dev := range net.NodeNames {
+		hp := net.HostPrefix[dev]
+		h := halves(hp)
+		hdrs = append(hdrs, dataplane.Match{Dst: hp}, dataplane.Match{Dst: h[0]}, dataplane.Match{Dst: h[1]})
+	}
+	if backend == BackendBDD {
+		devs := net.NodeNames
+		hdrs = append(hdrs,
+			dataplane.Match{Proto: netcfg.ProtoTCP, DstPortLo: 22, DstPortHi: 22},
+			dataplane.Match{Proto: netcfg.ProtoUDP, Dst: netcfg.MustPrefix("10.0.0.0/16")},
+			dataplane.Match{Src: net.HostPrefix[devs[0]], Dst: net.HostPrefix[devs[1]]},
+		)
+	}
+	return hdrs
+}
+
+// checkECsOverlapping requires the model's indexed ECsOverlapping to
+// equal the scan {ec ∈ ECs() : MatchOverlaps(m, ec)} on every header.
+func checkECsOverlapping(t *testing.T, step int, v *Verifier, hdrs []dataplane.Match) {
+	t.Helper()
+	m := v.Model()
+	for _, hdr := range hdrs {
+		want := []bdd.Node{}
+		for ec := range m.ECs() {
+			if m.MatchOverlaps(hdr, ec) {
+				want = append(want, ec)
+			}
+		}
+		got := append([]bdd.Node{}, m.ECsOverlapping(hdr)...)
+		slices.Sort(want)
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("step %d: %s ECsOverlapping(%+v) = %v, scan %v", step, m.Backend(), hdr, got, want)
+		}
+	}
 }
 
 // aclBind/aclUnbind compose SetACL+BindACL into one change so the
@@ -143,7 +204,8 @@ func compareBackendReports(t *testing.T, step int, bddRep, atomRep *Report, bddV
 // identical random change trajectories across seeds and topologies and
 // requires identical policy verdicts, violation/repair events, and FIB
 // contents after every apply. EC counts may differ (atoms never merge);
-// packet fates may not.
+// packet fates may not. Along the way each backend's ECsOverlapping must
+// equal a scan of its ECs.
 func TestBackendDifferential(t *testing.T) {
 	type topo struct {
 		name  string
@@ -180,6 +242,10 @@ func TestBackendDifferential(t *testing.T) {
 					t.Fatalf("initial verdicts diverge: atom=%v bdd=%v", got, want)
 				}
 
+				bddHdrs, atomHdrs := overlapHeaders(net, BackendBDD), overlapHeaders(net, BackendAtom)
+				checkECsOverlapping(t, -1, bddV, bddHdrs)
+				checkECsOverlapping(t, -1, atomV, atomHdrs)
+
 				pool := backendChangePool(net)
 				applied := make([]bool, len(pool))
 				for step := 0; step < 40; step++ {
@@ -199,6 +265,8 @@ func TestBackendDifferential(t *testing.T) {
 						t.Fatalf("step %d (%s): %v", step, ch, errB)
 					}
 					compareBackendReports(t, step, bddRep, atomRep, bddV, atomV)
+					checkECsOverlapping(t, step, bddV, bddHdrs)
+					checkECsOverlapping(t, step, atomV, atomHdrs)
 					if err := atomV.Model().CheckPartition(); err != nil {
 						t.Fatalf("step %d (%s): %v", step, ch, err)
 					}

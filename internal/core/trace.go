@@ -82,8 +82,9 @@ func TracePacket(model Model, checker *policy.Checker, fib map[dataplane.Rule]dd
 	tr := Trace{Packet: pkt}
 	// The EC containing the packet determines outcomes; the concrete
 	// rules are recovered per hop by longest-prefix match over the FIB.
+	// Only the ECs meeting the packet's destination can hold it.
 	var ec bdd.Node
-	for cand := range model.ECs() {
+	for _, cand := range model.ECsOverlapping(dataplane.Match{Dst: netcfg.Prefix{Addr: pkt.Dst, Len: 32}}) {
 		if model.ContainsPacket(cand, pkt) {
 			ec = cand
 			break

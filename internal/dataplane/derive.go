@@ -14,7 +14,7 @@ type Adjacency struct {
 
 // Adjacencies derives all directed adjacencies of a network.
 func Adjacencies(net *netcfg.Network) []Adjacency {
-	var out []Adjacency
+	out := make([]Adjacency, 0, 2*len(net.Topology.Links))
 	for _, l := range net.Topology.Links {
 		ca, cb := net.Devices[l.DevA], net.Devices[l.DevB]
 		if ca == nil || cb == nil {

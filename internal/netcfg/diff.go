@@ -35,8 +35,13 @@ func (c LineChange) String() string { return fmt.Sprintf("%s %s", c.Op, c.Line) 
 // DiffLines computes a minimal line-level diff between two texts using
 // the LCS dynamic program (configurations are small enough that O(n*m)
 // is irrelevant). Blank and separator ('!') lines are ignored, matching
-// how Parse treats them.
+// how Parse treats them. Equal texts return nil without building the
+// table, so diffing a network where one device changed costs one
+// table, not one per device.
 func DiffLines(oldText, newText string) []LineChange {
+	if oldText == newText {
+		return nil
+	}
 	a := significantLines(oldText)
 	b := significantLines(newText)
 	// lcs[i][j] = LCS length of a[i:], b[j:].

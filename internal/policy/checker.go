@@ -4,13 +4,17 @@
 // classes, maintaining the two maps the paper describes: each EC's
 // forwarding behaviour (paths), and each node pair's deliverable ECs.
 // Registered policies (reachability, waypoint, loop-freedom,
-// blackhole-freedom) are indexed by the packets they "register" on, so a
-// change rechecks only the policies whose header space intersects an
-// affected EC.
+// blackhole-freedom) are indexed by their header space: each update asks
+// the model once per distinct header which ECs it overlaps
+// (Model.ECsOverlapping, answered from the backend's destination index)
+// and rechecks a header's policies only if one of those ECs is affected.
+// Policy evaluation iterates the same per-header EC lists.
 package policy
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"realconfig/internal/apkeep"
 	"realconfig/internal/bdd"
@@ -61,13 +65,20 @@ type Pair struct {
 	Src, Dst string
 }
 
-// ecResult caches one EC's forwarding behaviour.
+// ecResult caches one EC's forwarding behaviour. Its delivered pairs
+// are the (src, At) of its Delivered outcomes.
 type ecResult struct {
 	outcomes map[string]Outcome
 	// next is the EC's functional forwarding graph: each device's
 	// successor (devices whose packets terminate locally are absent).
-	next  map[string]string
-	pairs map[Pair]struct{} // delivered pairs
+	next map[string]string
+}
+
+// delivers reports whether the EC's packets injected at src are
+// delivered at dst.
+func (r *ecResult) delivers(src, dst string) bool {
+	o, ok := r.outcomes[src]
+	return ok && o.Kind == Delivered && o.At == dst
 }
 
 // Checker incrementally maintains forwarding outcomes and policy
@@ -91,9 +102,19 @@ type Checker struct {
 
 	policies map[string]Policy
 	verdicts map[string]bool
+	// byHeader groups the registered policy names by Header(): an update
+	// resolves each header's ECs once and rechecks its whole group iff
+	// one of them is affected.
+	byHeader map[dataplane.Match][]string
+	// hdrECs memoizes ecsOf per header during one Update (nil outside).
+	hdrECs map[dataplane.Match][]bdd.Node
 
 	// parallelism is the worker count for EC walks (<=1 = sequential).
 	parallelism int
+	// walkers hold the walks' reusable state, one per worker; reach is
+	// merge's reusable reverse-reachability state.
+	walkers []*walker
+	reach   reachState
 
 	// metrics are the checker's live instruments (nil until Instrument;
 	// every method is nil-safe).
@@ -150,6 +171,7 @@ func NewChecker(m Model) *Checker {
 		pairs:    make(map[Pair]map[bdd.Node]struct{}),
 		policies: make(map[string]Policy),
 		verdicts: make(map[string]bool),
+		byHeader: make(map[dataplane.Match][]string),
 	}
 }
 
@@ -177,6 +199,25 @@ func (c *Checker) MatchOverlaps(m dataplane.Match, ec bdd.Node) bool {
 		return c.model.(ScopedModel).MatchOverlapsIn(m, c.scope, ec)
 	}
 	return c.model.MatchOverlaps(m, ec)
+}
+
+// ecsOf returns the live ECs that hdr's packet space intersects,
+// confined to the checker's scope when one is set: the ECs a policy
+// with that header registers on. Within an Update the answer is
+// memoized per header. The slice may be shared; do not modify it.
+func (c *Checker) ecsOf(hdr dataplane.Match) []bdd.Node {
+	if ecs, ok := c.hdrECs[hdr]; ok {
+		return ecs
+	}
+	ecs := c.model.ECsOverlapping(hdr)
+	if c.scoped {
+		sm := c.model.(ScopedModel)
+		ecs = slices.DeleteFunc(ecs, func(ec bdd.Node) bool { return !sm.MatchOverlapsIn(hdr, c.scope, ec) })
+	}
+	if c.hdrECs != nil {
+		c.hdrECs[hdr] = ecs
+	}
+	return ecs
 }
 
 // WitnessIn returns a concrete packet in the intersection of m and ec,
@@ -311,70 +352,67 @@ func (c *Checker) Update(transfers []apkeep.Transfer, ftransfers []apkeep.Filter
 		c.merge(ec, results[i], changedDevs[ec], res)
 		res.AffectedECs++
 	}
+	slices.SortFunc(res.AffectedPairs, comparePairs)
+	res.AffectedPairs = slices.Compact(res.AffectedPairs)
 
-	// Recheck policies registered on affected packets. Under tracing the
-	// loop runs in sorted name order and collects every relevant EC for
-	// the recheck event (the untraced scan early-breaks on the first).
-	check := func(name string, p Policy) {
-		var relECs []bdd.Node
-		relevant := false
-		for ec := range affected {
-			if p.Relevant(c, ec) {
-				relevant = true
-				if c.tr == nil {
-					break
-				}
-				relECs = append(relECs, ec)
+	// Recheck the policies registered on affected packets: a header's
+	// group is due iff one of its live ECs is affected. Under tracing the
+	// rechecks run in sorted name order.
+	c.hdrECs = make(map[dataplane.Match][]bdd.Node, len(c.byHeader))
+	var due []string
+	if len(live) > 0 {
+		for hdr, names := range c.byHeader {
+			if slices.ContainsFunc(c.ecsOf(hdr), func(ec bdd.Node) bool {
+				_, ok := affected[ec]
+				return ok
+			}) {
+				due = append(due, names...)
 			}
-		}
-		if !relevant {
-			return
-		}
-		res.PoliciesChecked++
-		now := p.Eval(c)
-		was, known := c.verdicts[name]
-		if !known || was != now {
-			c.verdicts[name] = now
-			res.Events = append(res.Events, PolicyEvent{Policy: name, Satisfied: now})
-		}
-		if c.tr != nil {
-			from := "unchecked"
-			if known {
-				from = verdictStr(was)
-			}
-			c.tr.Event(obs.TrackPolicy, obs.EventPolicyRecheck,
-				trace.S("policy", name), trace.S("from", from), trace.S("to", verdictStr(now)),
-				trace.S("ecs", joinNodes(relECs)))
 		}
 	}
 	if c.tr != nil {
-		names := make([]string, 0, len(c.policies))
-		for name := range c.policies {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			check(name, c.policies[name])
-		}
-	} else {
-		for name, p := range c.policies {
-			check(name, p)
-		}
+		sort.Strings(due)
 	}
+	for _, name := range due {
+		c.recheck(name, affected, res)
+	}
+	c.hdrECs = nil
 	sort.Slice(res.Events, func(i, j int) bool { return res.Events[i].Policy < res.Events[j].Policy })
-	sort.Slice(res.AffectedPairs, func(i, j int) bool {
-		a, b := res.AffectedPairs[i], res.AffectedPairs[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		return a.Dst < b.Dst
-	})
 	c.metrics.Updates.Inc()
 	c.metrics.PoliciesChecked.Add(uint64(res.PoliciesChecked))
 	c.metrics.AffectedECs.Add(uint64(res.AffectedECs))
 	c.metrics.AffectedPairs.Add(uint64(len(res.AffectedPairs)))
 	c.metrics.Pairs.Set(int64(len(c.pairs)))
 	return res
+}
+
+// recheck re-evaluates one due policy, recording a verdict flip (or a
+// first verdict) as an event and, under tracing, the recheck with the
+// affected ECs that made it due.
+func (c *Checker) recheck(name string, affected map[bdd.Node]struct{}, res *Result) {
+	p := c.policies[name]
+	res.PoliciesChecked++
+	now := p.Eval(c)
+	was, known := c.verdicts[name]
+	if !known || was != now {
+		c.verdicts[name] = now
+		res.Events = append(res.Events, PolicyEvent{Policy: name, Satisfied: now})
+	}
+	if c.tr != nil {
+		var relECs []bdd.Node
+		for _, ec := range c.ecsOf(p.Header()) {
+			if _, ok := affected[ec]; ok {
+				relECs = append(relECs, ec)
+			}
+		}
+		from := "unchecked"
+		if known {
+			from = verdictStr(was)
+		}
+		c.tr.Event(obs.TrackPolicy, obs.EventPolicyRecheck,
+			trace.S("policy", name), trace.S("from", from), trace.S("to", verdictStr(now)),
+			trace.S("ecs", joinNodes(relECs)))
+	}
 }
 
 // retire removes a vanished EC and its pair contributions.
@@ -384,13 +422,17 @@ func (c *Checker) retire(ec bdd.Node, res *Result) {
 		return
 	}
 	delete(c.ecs, ec)
-	for p := range r.pairs {
+	for src, o := range r.outcomes {
+		if o.Kind != Delivered {
+			continue
+		}
+		p := Pair{Src: src, Dst: o.At}
 		if set := c.pairs[p]; set != nil {
 			delete(set, ec)
 			if len(set) == 0 {
 				delete(c.pairs, p)
 			}
-			res.AffectedPairs = appendPair(res.AffectedPairs, p)
+			res.AffectedPairs = append(res.AffectedPairs, p)
 		}
 	}
 }
@@ -398,101 +440,119 @@ func (c *Checker) retire(ec bdd.Node, res *Result) {
 // merge installs a freshly walked result for an EC: it refreshes the
 // pair map with the delta and collects the pairs whose paths were
 // modified — the end points of every old or new path traversing a device
-// whose behaviour for this EC changed.
+// whose behaviour for this EC changed. Update sorts and deduplicates the
+// collected pairs.
 func (c *Checker) merge(ec bdd.Node, r *ecResult, devs map[string]struct{}, res *Result) {
 	old := c.ecs[ec]
 	c.ecs[ec] = r
 	// Pair map maintenance (delivery-set delta).
-	for p := range r.pairs {
-		if old == nil || !contains(old.pairs, p) {
-			set := c.pairs[p]
-			if set == nil {
-				set = make(map[bdd.Node]struct{})
-				c.pairs[p] = set
-			}
-			set[ec] = struct{}{}
+	for src, o := range r.outcomes {
+		if o.Kind != Delivered || (old != nil && old.delivers(src, o.At)) {
+			continue
 		}
+		p := Pair{Src: src, Dst: o.At}
+		set := c.pairs[p]
+		if set == nil {
+			set = make(map[bdd.Node]struct{})
+			c.pairs[p] = set
+		}
+		set[ec] = struct{}{}
 	}
 	if old != nil {
-		for p := range old.pairs {
-			if !contains(r.pairs, p) {
-				if set := c.pairs[p]; set != nil {
-					delete(set, ec)
-					if len(set) == 0 {
-						delete(c.pairs, p)
-					}
+		for src, o := range old.outcomes {
+			if o.Kind != Delivered || r.delivers(src, o.At) {
+				continue
+			}
+			p := Pair{Src: src, Dst: o.At}
+			if set := c.pairs[p]; set != nil {
+				delete(set, ec)
+				if len(set) == 0 {
+					delete(c.pairs, p)
 				}
 			}
 		}
 	}
-	if len(devs) == 0 {
-		return // pure split: behaviour unchanged, no modified paths
-	}
-	// Sources whose old or new walk traverses a changed device.
-	sources := make(map[string]struct{}, len(devs))
-	if old != nil {
-		reverseReach(old.next, devs, sources)
-	}
-	reverseReach(r.next, devs, sources)
-	for s := range sources {
+	// Modified paths: sources whose old or new walk traverses a changed
+	// device. A pure split changed no device, so it modified no path.
+	if len(devs) > 0 {
+		rs := &c.reach
+		rs.reset()
 		if old != nil {
-			if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
-				res.AffectedPairs = appendPair(res.AffectedPairs, Pair{Src: s, Dst: o.At})
-			}
+			rs.reverseReach(old.next, devs)
 		}
-		if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
-			res.AffectedPairs = appendPair(res.AffectedPairs, Pair{Src: s, Dst: o.At})
+		rs.reverseReach(r.next, devs)
+		for s := range rs.sources {
+			if old != nil {
+				if o, ok := old.outcomes[s]; ok && o.Kind == Delivered {
+					res.AffectedPairs = append(res.AffectedPairs, Pair{Src: s, Dst: o.At})
+				}
+			}
+			if o, ok := r.outcomes[s]; ok && o.Kind == Delivered {
+				res.AffectedPairs = append(res.AffectedPairs, Pair{Src: s, Dst: o.At})
+			}
 		}
 	}
 }
 
-// reverseReach adds to out every device that reaches one of the targets
-// by following next pointers (targets included).
-func reverseReach(next map[string]string, targets map[string]struct{}, out map[string]struct{}) {
-	rev := make(map[string][]string, len(next))
-	for s, d := range next {
-		rev[d] = append(rev[d], s)
+// reachState is merge's reusable reverse-reachability state. Merges run
+// sequentially, so one per checker suffices.
+type reachState struct {
+	// sources accumulates, across the old and new graph of one EC, every
+	// device that reaches a changed device.
+	sources map[string]struct{}
+	// rev is the reverse graph of the last walked next map; its keys
+	// persist across calls so their slices are reused.
+	rev   map[string][]string
+	seen  map[string]struct{}
+	stack []string
+}
+
+// reset empties sources for the next EC.
+func (rs *reachState) reset() {
+	if rs.sources == nil {
+		rs.sources = make(map[string]struct{})
+		rs.rev = make(map[string][]string)
+		rs.seen = make(map[string]struct{})
 	}
-	var stack []string
+	clear(rs.sources)
+}
+
+// reverseReach adds to rs.sources every device that reaches one of the
+// targets by following next pointers (targets included).
+func (rs *reachState) reverseReach(next map[string]string, targets map[string]struct{}) {
+	for d, srcs := range rs.rev {
+		rs.rev[d] = srcs[:0]
+	}
+	for s, d := range next {
+		rs.rev[d] = append(rs.rev[d], s)
+	}
+	clear(rs.seen)
+	stack := rs.stack[:0]
 	for d := range targets {
-		if _, ok := out[d]; !ok {
-			out[d] = struct{}{}
-		}
+		rs.sources[d] = struct{}{}
+		rs.seen[d] = struct{}{}
 		stack = append(stack, d)
 	}
-	// BFS over reverse edges; out doubles as the visited set, so callers
-	// accumulating across graphs must pass a fresh set per EC.
-	seen := make(map[string]struct{}, len(targets))
-	for d := range targets {
-		seen[d] = struct{}{}
-	}
+	// DFS over reverse edges.
 	for len(stack) > 0 {
 		d := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range rev[d] {
-			if _, ok := seen[s]; ok {
+		for _, s := range rs.rev[d] {
+			if _, ok := rs.seen[s]; ok {
 				continue
 			}
-			seen[s] = struct{}{}
-			out[s] = struct{}{}
+			rs.seen[s] = struct{}{}
+			rs.sources[s] = struct{}{}
 			stack = append(stack, s)
 		}
 	}
+	rs.stack = stack
 }
 
-func contains(set map[Pair]struct{}, p Pair) bool {
-	_, ok := set[p]
-	return ok
-}
-
-// appendPair appends p if not already the most recent entries;
-// deduplication is finalized by the caller's sort (duplicates are
-// removed below).
-func appendPair(list []Pair, p Pair) []Pair {
-	for _, ex := range list {
-		if ex == p {
-			return list
-		}
+// comparePairs orders pairs by source, then destination.
+func comparePairs(a, b Pair) int {
+	if a.Src != b.Src {
+		return strings.Compare(a.Src, b.Src)
 	}
-	return append(list, p)
+	return strings.Compare(a.Dst, b.Dst)
 }

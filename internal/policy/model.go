@@ -22,6 +22,10 @@ type Model interface {
 	Blocked(dev, intf string, dir dataplane.Direction, ec bdd.Node) bool
 	// MatchOverlaps reports whether m's packet space intersects ec.
 	MatchOverlaps(m dataplane.Match, ec bdd.Node) bool
+	// ECsOverlapping returns exactly the live ECs for which
+	// MatchOverlaps(m, ec) holds, answered from the backend's
+	// destination index rather than a scan. The caller owns the slice.
+	ECsOverlapping(m dataplane.Match) []bdd.Node
 	// Witness returns a concrete packet in ec.
 	Witness(ec bdd.Node) (bdd.Packet, bool)
 	// WitnessIn returns a concrete packet in the intersection of m and ec.

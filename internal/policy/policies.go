@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"realconfig/internal/bdd"
@@ -9,23 +10,32 @@ import (
 )
 
 // Policy is a forwarding property registered with the checker. Policies
-// declare which packets they "register" on via Relevant, so the checker
+// declare which packets they "register" on via Header, so the checker
 // can skip them when unrelated ECs change — the key to incremental
 // policy checking. Header spaces are dataplane.Match values (the zero
 // value matches everything), so policies carry no backend-specific
 // handles and transfer between verifiers and backends as plain values.
 type Policy interface {
 	Name() string
-	// Relevant reports whether a change to ec can affect this policy.
+	// Header returns the packet space the policy registers on (the zero
+	// Match means the full space). The checker indexes policies by it.
+	Header() dataplane.Match
+	// Relevant reports whether a change to ec can affect this policy:
+	// whether ec intersects Header within the checker's scope. The
+	// checker answers the same question per header through the model's
+	// index; Relevant is the per-EC form of that rule.
 	Relevant(c *Checker, ec bdd.Node) bool
 	// Eval computes the policy's satisfaction from the checker state.
 	Eval(c *Checker) bool
 }
 
 // AddPolicy registers a policy and evaluates it immediately, returning
-// the initial verdict.
+// the initial verdict. A policy of the same name is replaced.
 func (c *Checker) AddPolicy(p Policy) bool {
+	c.RemovePolicy(p.Name())
 	c.policies[p.Name()] = p
+	hdr := p.Header()
+	c.byHeader[hdr] = append(c.byHeader[hdr], p.Name())
 	v := p.Eval(c)
 	c.verdicts[p.Name()] = v
 	c.metrics.Policies.Set(int64(len(c.policies)))
@@ -34,6 +44,15 @@ func (c *Checker) AddPolicy(p Policy) bool {
 
 // RemovePolicy unregisters a policy by name.
 func (c *Checker) RemovePolicy(name string) {
+	if p, ok := c.policies[name]; ok {
+		hdr := p.Header()
+		names := slices.DeleteFunc(c.byHeader[hdr], func(n string) bool { return n == name })
+		if len(names) == 0 {
+			delete(c.byHeader, hdr)
+		} else {
+			c.byHeader[hdr] = names
+		}
+	}
 	delete(c.policies, name)
 	delete(c.verdicts, name)
 	c.metrics.Policies.Set(int64(len(c.policies)))
@@ -92,16 +111,16 @@ type Reachability struct {
 // Name implements Policy.
 func (p Reachability) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p Reachability) Header() dataplane.Match { return p.Hdr }
+
 // Relevant implements Policy.
 func (p Reachability) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Hdr, ec) }
 
 // Eval implements Policy.
 func (p Reachability) Eval(c *Checker) bool {
 	delivered, total := 0, 0
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(p.Hdr, ec) {
-			continue
-		}
+	for _, ec := range c.ecsOf(p.Hdr) {
 		total++
 		if o, ok := c.OutcomeOf(ec, p.Src); ok && o.Kind == Delivered && o.At == p.Dst {
 			delivered++
@@ -129,15 +148,15 @@ type Waypoint struct {
 // Name implements Policy.
 func (p Waypoint) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p Waypoint) Header() dataplane.Match { return p.Hdr }
+
 // Relevant implements Policy.
 func (p Waypoint) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Hdr, ec) }
 
 // Eval implements Policy.
 func (p Waypoint) Eval(c *Checker) bool {
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(p.Hdr, ec) {
-			continue
-		}
+	for _, ec := range c.ecsOf(p.Hdr) {
 		o, ok := c.OutcomeOf(ec, p.Src)
 		if !ok || o.Kind != Delivered || o.At != p.Dst {
 			continue
@@ -166,13 +185,17 @@ type LoopFree struct {
 // Name implements Policy.
 func (p LoopFree) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p LoopFree) Header() dataplane.Match { return p.Scope }
+
 // Relevant implements Policy.
 func (p LoopFree) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Scope, ec) }
 
 // Eval implements Policy.
 func (p LoopFree) Eval(c *Checker) bool {
-	for ec, r := range c.ecs {
-		if !c.MatchOverlaps(p.Scope, ec) {
+	for _, ec := range c.ecsOf(p.Scope) {
+		r := c.ecs[ec]
+		if r == nil {
 			continue
 		}
 		for _, o := range r.outcomes {
@@ -194,13 +217,17 @@ type BlackholeFree struct {
 // Name implements Policy.
 func (p BlackholeFree) Name() string { return p.PolicyName }
 
+// Header implements Policy.
+func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
+
 // Relevant implements Policy.
 func (p BlackholeFree) Relevant(c *Checker, ec bdd.Node) bool { return c.MatchOverlaps(p.Scope, ec) }
 
 // Eval implements Policy.
 func (p BlackholeFree) Eval(c *Checker) bool {
-	for ec, r := range c.ecs {
-		if !c.MatchOverlaps(p.Scope, ec) {
+	for _, ec := range c.ecsOf(p.Scope) {
+		r := c.ecs[ec]
+		if r == nil {
 			continue
 		}
 		for _, o := range r.outcomes {
@@ -215,10 +242,7 @@ func (p BlackholeFree) Eval(c *Checker) bool {
 // Explain renders a human-readable account of why a reachability-style
 // check currently fails between src and dst for packets in hdr.
 func (c *Checker) Explain(src, dst string, hdr dataplane.Match) string {
-	for ec := range c.model.ECs() {
-		if !c.MatchOverlaps(hdr, ec) {
-			continue
-		}
+	for _, ec := range c.ecsOf(hdr) {
 		o, ok := c.OutcomeOf(ec, src)
 		if ok && o.Kind == Delivered && o.At == dst {
 			continue

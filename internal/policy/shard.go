@@ -1,7 +1,5 @@
 package policy
 
-import "realconfig/internal/dataplane"
-
 // JoinMode says how per-shard verdicts of a destination-partitioned
 // policy combine into the global verdict. The shard layer scopes each
 // unit's checker to that unit's slice of the destination space; because
@@ -27,16 +25,13 @@ const (
 )
 
 // Sharded is implemented by policies that can be partitioned across
-// destination-space shards. Header exposes the policy's packet space so
-// the shard layer can skip units whose slice it misses entirely; Join
-// says how the per-shard verdicts recombine. Policies are plain values
-// with Match-based headers, so the same value registers on every unit —
-// each unit's scoped checker confines evaluation to its own slice.
+// destination-space shards. The shard layer skips units whose slice
+// misses the policy's Header entirely; Join says how the per-shard
+// verdicts recombine. Policies are plain values with Match-based
+// headers, so the same value registers on every unit — each unit's
+// scoped checker confines evaluation to its own slice.
 type Sharded interface {
 	Policy
-	// Header returns the packet space the policy registers on (the zero
-	// Match means the full space).
-	Header() dataplane.Match
 	// Join returns the policy's verdict combination mode.
 	Join() JoinMode
 }
@@ -67,9 +62,6 @@ func JoinVerdicts(mode JoinMode, verdicts []bool) bool {
 	}
 }
 
-// Header implements Sharded.
-func (p Reachability) Header() dataplane.Match { return p.Hdr }
-
 // Join implements Sharded. ReachAll needs a delivery witness (total > 0
 // in at least one shard); ReachSome is existential; ReachNone is
 // universal isolation.
@@ -84,20 +76,11 @@ func (p Reachability) Join() JoinMode {
 	}
 }
 
-// Header implements Sharded.
-func (p Waypoint) Header() dataplane.Match { return p.Hdr }
-
 // Join implements Sharded.
 func (p Waypoint) Join() JoinMode { return JoinAll }
 
-// Header implements Sharded.
-func (p LoopFree) Header() dataplane.Match { return p.Scope }
-
 // Join implements Sharded.
 func (p LoopFree) Join() JoinMode { return JoinAll }
-
-// Header implements Sharded.
-func (p BlackholeFree) Header() dataplane.Match { return p.Scope }
 
 // Join implements Sharded.
 func (p BlackholeFree) Join() JoinMode { return JoinAll }

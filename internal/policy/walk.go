@@ -9,24 +9,32 @@ import (
 
 // walkAll computes results for a batch of ECs, in parallel when the
 // checker's parallelism is enabled and the batch is large enough to pay
-// for the fan-out. Walks only read the model, so workers are safe; the
-// caller merges results sequentially.
+// for the fan-out. Walks only read the model, so workers are safe; each
+// worker reuses its own walker, and the caller merges results
+// sequentially.
 func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 	results := make([]*ecResult, len(ecs))
-	if c.parallelism <= 1 || len(ecs) < 2*c.parallelism {
+	workers := max(c.parallelism, 1)
+	if len(ecs) < 2*workers {
+		workers = 1
+	}
+	for len(c.walkers) < workers {
+		c.walkers = append(c.walkers, &walker{state: make(map[string]uint8, len(c.devices))})
+	}
+	if workers == 1 {
 		for i, ec := range ecs {
-			results[i] = c.walk(ec)
+			results[i] = c.walkers[0].walk(c, ec)
 		}
 		return results
 	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < c.parallelism; w++ {
+	for _, w := range c.walkers[:workers] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				results[i] = c.walk(ecs[i])
+				results[i] = w.walk(c, ecs[i])
 			}
 		}()
 	}
@@ -38,29 +46,35 @@ func (c *Checker) walkAll(ecs []bdd.Node) []*ecResult {
 	return results
 }
 
+// walker holds one worker's scratch state, reused across walks.
+type walker struct {
+	state map[string]uint8
+	chain []string
+}
+
 // walk computes the EC's fate from every device by traversing its
 // functional forwarding graph once, with memoization: each device has at
 // most one successor for a given EC, so every node on a traversal chain
 // shares the chain's terminal outcome, and chains that close on
 // themselves (or join an in-progress chain) are loops.
-func (c *Checker) walk(ec bdd.Node) *ecResult {
+func (w *walker) walk(c *Checker, ec bdd.Node) *ecResult {
 	r := &ecResult{
 		outcomes: make(map[string]Outcome, len(c.devices)),
 		next:     make(map[string]string, len(c.devices)),
-		pairs:    make(map[Pair]struct{}),
 	}
 	const (
 		unvisited = 0
 		inChain   = 1
 		done      = 2
 	)
-	state := make(map[string]uint8, len(c.devices))
+	state := w.state
+	clear(state)
 
 	for _, start := range c.devices {
 		if state[start] == done {
 			continue
 		}
-		var chain []string
+		chain := w.chain[:0]
 		cur := start
 		var terminal Outcome
 	traverse:
@@ -107,10 +121,8 @@ func (c *Checker) walk(ec bdd.Node) *ecResult {
 		for _, dev := range chain {
 			state[dev] = done
 			r.outcomes[dev] = terminal
-			if terminal.Kind == Delivered {
-				r.pairs[Pair{Src: dev, Dst: terminal.At}] = struct{}{}
-			}
 		}
+		w.chain = chain
 	}
 	return r
 }
